@@ -52,6 +52,21 @@ let metric key value =
   | Some cell -> cell := (key, value) :: !cell
   | None -> ()
 
+(* Wall clock of [f ()] in milliseconds, on the trace clock. *)
+let time_ms f =
+  let t0 = Obs.Trace.now () in
+  let r = f () in
+  (r, 1000.0 *. (Obs.Trace.now () -. t0))
+
+(* Median wall clock over [reps] runs, in milliseconds; one untimed
+   warm-up first so page faults and GC growth don't land on whichever
+   variant happens to run first. *)
+let timed_median reps f =
+  ignore (f ());
+  let runs = List.init reps (fun _ -> time_ms f) in
+  let ts = List.sort compare (List.map snd runs) in
+  (fst (List.hd runs), List.nth ts (reps / 2))
+
 (* Every recorded per-p load comes with the model's two derived
    quantities, so the JSON results file carries the paper's axes
    directly: ε (load exponent) and the replication rate. *)
@@ -982,11 +997,7 @@ let e12 () =
   section
     "E12: interned storage + compiled plans vs the reference engine";
   let scale n = if !smoke then max 1 (n / 20) else n in
-  let time f =
-    let t0 = Runtime.Metrics.now () in
-    let r = f () in
-    (r, 1000.0 *. (Runtime.Metrics.now () -. t0))
-  in
+  let time = time_ms in
   let report label old_ms new_ms =
     line "  %-44s old %8.1f ms   new %8.1f ms   %5.1fx" label old_ms new_ms
       (old_ms /. new_ms)
@@ -1271,20 +1282,7 @@ let e14 () =
       ~rels:[ "R1"; "R2"; "R3" ]
   in
   let reps = if !smoke then 1 else 3 in
-  (* Median wall clock over [reps] runs, in milliseconds; one untimed
-     warm-up first so page faults and GC growth don't land on whichever
-     variant happens to run first. *)
-  let timed f =
-    let once () =
-      let t0 = Runtime.Metrics.now () in
-      let v = f () in
-      (v, 1000.0 *. (Runtime.Metrics.now () -. t0))
-    in
-    ignore (f ());
-    let runs = List.init reps (fun _ -> once ()) in
-    let ts = List.sort compare (List.map snd runs) in
-    (fst (List.hd runs), List.nth ts (reps / 2))
-  in
+  let timed = timed_median reps in
   let algorithms : (string * e14_algo) list =
     [
       ( "cascade",
@@ -1376,13 +1374,8 @@ let e14 () =
          sleeps are deterministic and scheduler noise is strictly
          additive, so the minimum isolates the stall difference. *)
       let timed_min f =
-        let once () =
-          let t0 = Runtime.Metrics.now () in
-          let v = f () in
-          (v, 1000.0 *. (Runtime.Metrics.now () -. t0))
-        in
         ignore (f ());
-        let runs = List.init (max reps 5) (fun _ -> once ()) in
+        let runs = List.init (max reps 5) (fun _ -> time_ms f) in
         (fst (List.hd runs), List.fold_left min infinity (List.map snd runs))
       in
       let (slow_out, _), t_slow = timed_min (run unmitigated) in
@@ -1739,11 +1732,7 @@ let e16 () =
   section
     "E16: worst-case-optimal joins vs binary plans (local and distributed)";
   let scale n = if !smoke then max 20 (n / 40) else n in
-  let time f =
-    let t0 = Runtime.Metrics.now () in
-    let r = f () in
-    (r, 1000.0 *. (Runtime.Metrics.now () -. t0))
-  in
+  let time = time_ms in
   let equal = Relational.Instance.equal in
   (* Local race: seed value-level oracle vs interned binary plan vs
      interned WCOJ, all bit-identical by construction. *)
@@ -2730,17 +2719,7 @@ let e19 () =
   rm_rf dir;
   (* -- Overhead: what the fsync'd two-generation store costs. -------- *)
   let reps = if !smoke then 1 else 3 in
-  let timed f =
-    let once () =
-      let t0 = Runtime.Metrics.now () in
-      let v = f () in
-      (v, 1000.0 *. (Runtime.Metrics.now () -. t0))
-    in
-    ignore (f ());
-    let runs = List.init reps (fun _ -> once ()) in
-    let ts = List.sort compare (List.map snd runs) in
-    (fst (List.hd runs), List.nth ts (reps / 2))
-  in
+  let timed = timed_median reps in
   line "  checkpoint overhead: none vs fsync'd disk vs disk under chaos \
         (median of %d)" reps;
   List.iter
@@ -2823,6 +2802,28 @@ let experiments =
     ("e19", e19);
   ]
 
+(* Round count and engine time of one experiment, read back from the
+   trace: the [mpc.round] spans inside the experiment's own span. *)
+let engine_rounds exp =
+  let spans =
+    List.filter_map
+      (function
+        | Obs.Trace.Span { name; cat; t; dur; _ } -> Some (name, cat, t, dur)
+        | _ -> None)
+      (Obs.Trace.events ())
+  in
+  match
+    List.find_opt (fun (n, c, _, _) -> n = exp && c = "bench") (List.rev spans)
+  with
+  | None -> (0, 0.0)
+  | Some (_, _, t0, d0) ->
+    List.fold_left
+      (fun (n, ms) (name, _, t, dur) ->
+        if name = "mpc.round" && t >= t0 && t +. dur <= t0 +. d0 then
+          (n + 1, ms +. (1000.0 *. dur))
+        else (n, ms))
+      (0, 0.0) spans
+
 (* One parser for every [--key=value] flag: the key names its handler
    below, so adding a flag is one table row, not another hand-counted
    [String.sub]. *)
@@ -2887,7 +2888,6 @@ let () =
     (Runtime.Executor.backend_name (exec ()))
     (Runtime.Executor.workers (exec ()))
     (if Runtime.Executor.workers (exec ()) = 1 then "" else "s");
-  Runtime.Metrics.set_enabled want_timings;
   if !trace_out <> None || !jsonl_out <> None then Obs.Trace.set_enabled true;
   let to_run =
     if selected = [] then experiments
@@ -2904,18 +2904,25 @@ let () =
   in
   List.iter
     (fun (name, f) ->
-      Runtime.Metrics.reset ();
       current_exp := name;
       recorded := (name, ref []) :: !recorded;
-      let t0 = Runtime.Metrics.now () in
-      Obs.Trace.span ~cat:"bench" name f;
-      let wall = 1000.0 *. (Runtime.Metrics.now () -. t0) in
+      let c0 = Runtime.Executor.counters (exec ()) in
+      let (), wall = time_ms (fun () -> Obs.Trace.span ~cat:"bench" name f) in
       metric "wall_ms" wall;
       current_exp := "";
-      if want_timings then
-        line "  [%s wall %.0f ms; engine: %a]" name wall
-          Runtime.Metrics.pp_summary
-          (Runtime.Metrics.summary ()))
+      if want_timings then begin
+        let c1 = Runtime.Executor.counters (exec ()) in
+        let rounds =
+          if not (Obs.Trace.is_enabled ()) then ""
+          else
+            let n, ms = engine_rounds name in
+            Fmt.str "%d rounds, %.1f ms in the engine, " n ms
+        in
+        line "  [%s wall %.0f ms; engine: %s%d tasks, %d steals]" name wall
+          rounds
+          (c1.tasks - c0.tasks)
+          (c1.steals - c0.steals)
+      end)
     to_run;
   if want_timings then timings ();
   Option.iter Runtime.Pool.shutdown pool;

@@ -9,9 +9,10 @@
     executor may interleave tasks arbitrarily and every task still draws
     the same faults as the sequential one.
 
-    [none] is the distinguished empty plan: consumers test {!is_none}
-    and dispatch to their untouched fault-free code path, so fault
-    injection that is off costs nothing. *)
+    [none] is the distinguished empty plan: every decision query
+    answers it with one constructor match, so the MPC round runs the
+    same code with fault injection on or off and pays next to nothing
+    when it is off. *)
 
 type spec = {
   crash : float;  (** Per-round, per-server crash-stop probability. *)

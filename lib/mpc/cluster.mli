@@ -62,19 +62,27 @@ val union_all : t -> Instance.t
 (** The output of the algorithm: the union over all servers. *)
 
 val run_round : t -> round -> unit
-(** Executes one round and records its load. Destinations are validated
-    during the outbox fan-out: a message outside [0 .. p - 1] aborts the
-    round before any state or statistic is updated.
+(** Executes one round under the cluster's fault plan and records its
+    load. Destinations are validated during the outbox fan-out: a
+    message outside [0 .. p - 1] aborts the round before any state or
+    statistic is updated.
 
-    Under a fault plan, the round additionally checkpoints every
-    server's local at the round start, crash-stops the plan's chosen
-    servers, applies per-message fates, stalls and transiently fails
-    tasks (absorbed by bounded retry), then recovers within the round:
-    crashed servers' sends are replayed from the checkpoint, dropped and
-    delayed messages retransmitted, and crashed destinations' inboxes
-    redelivered to their replacements. The recovered round's loads,
-    locals and output are bit-identical to a fault-free run; all repair
-    traffic is accounted separately in [Stats.recoveries].
+    There is one round implementation; {!Lamp_faults.Plan.none} is
+    simply the plan under which nothing fires. The round checkpoints
+    every server's local at the round start, crash-stops the plan's
+    chosen servers, applies per-message fates, stalls and transiently
+    fails tasks (absorbed by bounded retry), then recovers within the
+    round: crashed servers' sends are replayed from the checkpoint,
+    dropped and delayed messages retransmitted, and crashed
+    destinations' inboxes redelivered to their replacements. The
+    recovered round's loads, locals and output are bit-identical to a
+    fault-free run; all repair traffic is accounted separately in
+    [Stats.recoveries].
+
+    When tracing is on, the round records one ["mpc.round"] span
+    (category ["mpc"], args [round], [p], [tasks], [steals] — the
+    executor's task and steal counts for the round) enclosing its
+    ["mpc.communicate"], ["mpc.merge"] and ["mpc.compute"] spans.
     @raise Invalid_argument on a message to a nonexistent server, naming
     the smallest offending source server, the offending fact, and its
     destination. *)

@@ -12,6 +12,7 @@ open Lamp_mpc
 module Plan = Lamp_faults.Plan
 module Executor = Lamp_runtime.Executor
 module Pool = Lamp_runtime.Pool
+module Trace = Lamp_obs.Trace
 
 let instance = Alcotest.testable Instance.pp Instance.equal
 let rng () = Random.State.make [| 2026 |]
@@ -221,58 +222,47 @@ let plans =
 
 let chain3 = Parser.query "H(x0,x3) <- R1(x0,x1), R2(x1,x2), R3(x2,x3)"
 
+(* Every driver, with the query it answers and its input: the local
+   evaluation of the query is the oracle its output must equal. *)
 let algorithms =
+  let driver name query input run =
+    ( name,
+      lazy (Eval.eval query input),
+      fun ~executor ~faults -> run ~executor ~faults input )
+  in
+  let triangle m domain =
+    Workload.triangle_skew_free ~rng:(rng ()) ~m ~domain
+  in
+  let y_skewed =
+    Workload.triangle_y_skew ~rng:(rng ()) ~m:120 ~domain:40
+      ~heavy_fraction:0.4
+  in
+  let drop3 (r, s, _) = (r, s) in
   [
-    ( "repartition",
-      fun ~executor ~faults ->
-        Repartition_join.run ~executor ~faults ~p:8 (Workload.join_skew_free ~m:120)
-    );
-    ( "grid",
-      fun ~executor ~faults ->
-        Grid_join.run ~executor ~faults ~p:9 (Workload.join_skew_free ~m:120) );
-    ( "hypercube",
-      fun ~executor ~faults ->
-        let i = Workload.triangle_skew_free ~rng:(rng ()) ~m:120 ~domain:30 in
-        let r, s, _ =
-          Hypercube.run ~executor ~faults ~p:8 Examples.q2_triangle i
-        in
-        (r, s) );
-    ( "cascade",
-      fun ~executor ~faults ->
-        let i = Workload.triangle_skew_free ~rng:(rng ()) ~m:90 ~domain:25 in
-        Multi_round.cascade_triangle ~executor ~faults ~p:8 i );
-    ( "skew-resilient",
-      fun ~executor ~faults ->
-        let i =
-          Workload.triangle_y_skew ~rng:(rng ()) ~m:120 ~domain:40
-            ~heavy_fraction:0.4
-        in
-        let r, s, _ =
-          Multi_round.skew_resilient_triangle ~executor ~faults ~p:8 i
-        in
-        (r, s) );
-    ( "gym",
-      fun ~executor ~faults ->
-        let i =
-          Workload.acyclic_chain ~rng:(rng ()) ~m:100 ~domain:25
-            ~rels:[ "R1"; "R2"; "R3" ]
-        in
-        Yannakakis.gym ~executor ~faults ~p:6 chain3 i );
-    ( "gym-ghd",
-      fun ~executor ~faults ->
-        let i = Workload.triangle_skew_free ~rng:(rng ()) ~m:90 ~domain:25 in
-        let r, s, _ = Gym_ghd.run ~executor ~faults ~p:8 Examples.q2_triangle i in
-        (r, s) );
-    ( "kst",
-      fun ~executor ~faults ->
-        let i =
-          Workload.triangle_y_skew ~rng:(rng ()) ~m:120 ~domain:40
-            ~heavy_fraction:0.4
-        in
-        let r, s, _ =
-          Kst.run ~threshold:8 ~executor ~faults ~p:8 Examples.q2_triangle i
-        in
-        (r, s) );
+    driver "repartition" Repartition_join.query (Workload.join_skew_free ~m:120)
+      (fun ~executor ~faults i -> Repartition_join.run ~executor ~faults ~p:8 i);
+    driver "grid" Grid_join.query (Workload.join_skew_free ~m:120)
+      (fun ~executor ~faults i -> Grid_join.run ~executor ~faults ~p:9 i);
+    driver "hypercube" Examples.q2_triangle (triangle 120 30)
+      (fun ~executor ~faults i ->
+        drop3 (Hypercube.run ~executor ~faults ~p:8 Examples.q2_triangle i));
+    driver "cascade" Examples.q2_triangle (triangle 90 25)
+      (fun ~executor ~faults i ->
+        Multi_round.cascade_triangle ~executor ~faults ~p:8 i);
+    driver "skew-resilient" Examples.q2_triangle y_skewed
+      (fun ~executor ~faults i ->
+        drop3 (Multi_round.skew_resilient_triangle ~executor ~faults ~p:8 i));
+    driver "gym" chain3
+      (Workload.acyclic_chain ~rng:(rng ()) ~m:100 ~domain:25
+         ~rels:[ "R1"; "R2"; "R3" ])
+      (fun ~executor ~faults i -> Yannakakis.gym ~executor ~faults ~p:6 chain3 i);
+    driver "gym-ghd" Examples.q2_triangle (triangle 90 25)
+      (fun ~executor ~faults i ->
+        drop3 (Gym_ghd.run ~executor ~faults ~p:8 Examples.q2_triangle i));
+    driver "kst" Examples.q2_triangle y_skewed
+      (fun ~executor ~faults i ->
+        drop3
+          (Kst.run ~threshold:8 ~executor ~faults ~p:8 Examples.q2_triangle i));
   ]
 
 let same_clean_portion name pname clean stats =
@@ -307,7 +297,7 @@ let test_recovery_pool () =
     (fun () ->
       let executor = Executor.pool pool in
       List.iter
-        (fun (name, run) ->
+        (fun (name, _, run) ->
           let clean_out, clean_stats =
             run ~executor:Executor.sequential ~faults:Plan.none
           in
@@ -333,19 +323,61 @@ let test_recovery_pool () =
 (* ------------------------------------------------------------------ *)
 (* Zero-fault plans cost nothing; total crashes still recover           *)
 
+(* Plan.none and a zero-rate plan run the same round code, so each is
+   also checked against the local oracle, on both backends, and must
+   leave no fault trace behind. *)
 let test_zero_fault_plan_noop () =
-  let i = Workload.join_skew_free ~m:80 in
-  let clean_out, clean_stats = Repartition_join.run ~p:4 i in
-  let out, stats =
-    Repartition_join.run ~faults:(Plan.make ~seed:123 Plan.zero) ~p:4 i
+  let pool = Pool.create ~domains:2 () in
+  let fault_events () =
+    List.filter_map
+      (function
+        | Trace.Span { name; _ } | Trace.Instant { name; _ }
+        | Trace.Sample { name; _ }
+          when String.starts_with ~prefix:"fault." name
+               || name = "mpc.recovery" ->
+          Some name
+        | _ -> None)
+      (Trace.events ())
   in
-  Alcotest.check instance "output identical" clean_out out;
-  Alcotest.(check bool) "stats structurally identical" true (stats = clean_stats);
-  Alcotest.(check string) "rendered stats byte-identical"
-    (Fmt.str "%a" Stats.pp clean_stats)
-    (Fmt.str "%a" Stats.pp stats);
-  Alcotest.(check bool) "no recoveries recorded" true
-    (stats.Stats.recoveries = [])
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.reset ();
+      Pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun (name, oracle, run) ->
+          List.iter
+            (fun executor ->
+              let label what =
+                Fmt.str "%s (%s) %s" name (Executor.backend_name executor) what
+              in
+              Trace.reset ();
+              let clean_out, clean_stats = run ~executor ~faults:Plan.none in
+              let out, stats =
+                run ~executor ~faults:(Plan.make ~seed:123 Plan.zero)
+              in
+              Alcotest.check instance (label "clean output = oracle")
+                (Lazy.force oracle) clean_out;
+              Alcotest.check instance (label "output identical") clean_out out;
+              Alcotest.(check bool)
+                (label "stats structurally identical")
+                true (stats = clean_stats);
+              Alcotest.(check string)
+                (label "rendered stats byte-identical")
+                (Fmt.str "%a" Stats.pp clean_stats)
+                (Fmt.str "%a" Stats.pp stats);
+              Alcotest.(check bool)
+                (label "no recoveries recorded")
+                true
+                (clean_stats.Stats.recoveries = []
+                && stats.Stats.recoveries = []);
+              Alcotest.(check (list string))
+                (label "no fault events traced")
+                [] (fault_events ()))
+            [ Executor.sequential; Executor.pool pool ])
+        algorithms)
 
 let test_total_crash_recovers () =
   let plan = Plan.make ~seed:4 { Plan.zero with crash = 1.0 } in
@@ -602,7 +634,7 @@ let () =
         ] );
       ( "bit-identical recovery (seq)",
         List.map
-          (fun (name, run) ->
+          (fun (name, _, run) ->
             Alcotest.test_case name `Quick (fun () -> check_recovery name run))
           algorithms );
       ( "bit-identical recovery (pool)",

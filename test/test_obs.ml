@@ -146,40 +146,73 @@ let test_reset_clears () =
   Alcotest.(check int) "handle survives reset" 1 (Trace.value c)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics shim                                                        *)
+(* Round spans                                                         *)
 
-let test_metrics_multidomain () =
-  Metrics.reset ();
-  Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Metrics.reset ())
-    (fun () ->
-      let pool = Pool.create ~domains:4 () in
-      let ex = Executor.pool pool in
-      Executor.parallel_for ex ~n:32 (fun ~worker:_ k ->
-          Metrics.record
-            {
-              Metrics.label = Printf.sprintf "t%d" k;
-              wall_s = 0.001;
-              tasks = 1;
-              steals = 0;
-            });
-      Pool.shutdown pool;
-      let s = Metrics.summary () in
-      Alcotest.(check int) "records from worker domains kept" 32 s.Metrics.rounds;
-      Alcotest.(check int) "tasks summed" 32 s.Metrics.total_tasks)
-
-let test_metrics_forwards_to_trace () =
+(* One [mpc.round] span per round, enclosing that round's three phase
+   spans on the same domain, with the executor's task count as an arg. *)
+let test_round_spans () =
+  let module Cluster = Lamp_mpc.Cluster in
   Trace.set_enabled true;
-  Alcotest.(check bool)
-    "tracing alone turns metering on" true (Metrics.is_enabled ());
-  Metrics.record
-    { Metrics.label = "fwd"; wall_s = 0.001; tasks = 3; steals = 1 };
-  Alcotest.(check (list string)) "forwarded as a span" [ "fwd" ] (span_names ());
-  Alcotest.(check int)
-    "summary store untouched (own flag off)" 0 (Metrics.summary ()).Metrics.rounds
+  let pool = Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let executor = Executor.pool pool in
+      let c =
+        Cluster.create ~executor ~p:4
+          (Instance.of_string "R(1,2). R(2,3). R(3,4). S(4,5). S(5,1)")
+      in
+      let round =
+        {
+          Cluster.communicate =
+            Cluster.route_by (fun f -> [ Fact.hash f mod 4 ]);
+          compute = Cluster.keep_received;
+        }
+      in
+      let tasks =
+        List.map
+          (fun _ ->
+            let c0 = Executor.counters executor in
+            Cluster.run_round c round;
+            (Executor.counters executor).tasks - c0.tasks)
+          [ 1; 2 ]
+      in
+      let spans name =
+        List.filter_map
+          (function
+            | Trace.Span { name = n; tid; t; dur; args; _ } when n = name ->
+              Some (List.assoc "round" args, tid, t, dur, args)
+            | _ -> None)
+          (Trace.events ())
+      in
+      let rounds = spans "mpc.round" in
+      Alcotest.(check int) "one span per round" 2 (List.length rounds);
+      List.iteri
+        (fun k expected_tasks ->
+          let r = Trace.Int (k + 1) in
+          match List.filter (fun (r', _, _, _, _) -> r' = r) rounds with
+          | [ (_, tid, t, dur, args) ] ->
+            Alcotest.(check bool)
+              (Printf.sprintf "round %d tasks = counters delta" (k + 1))
+              true
+              (List.assoc "tasks" args = Trace.Int expected_tasks);
+            List.iter
+              (fun phase ->
+                match
+                  List.filter (fun (r', _, _, _, _) -> r' = r) (spans phase)
+                with
+                | [ (_, tid', t', dur', _) ] ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "round %d encloses %s" (k + 1) phase)
+                    true
+                    (tid' = tid && t' >= t && t' +. dur' <= t +. dur)
+                | l ->
+                  Alcotest.failf "round %d: %d %s spans" (k + 1)
+                    (List.length l) phase)
+              [ "mpc.communicate"; "mpc.merge"; "mpc.compute" ]
+          | l ->
+            Alcotest.failf "round %d: %d round spans" (k + 1) (List.length l))
+        tasks)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: tracing may never change results or statistics         *)
@@ -641,12 +674,10 @@ let () =
           Alcotest.test_case "percentiles" `Quick (clean test_percentiles);
           Alcotest.test_case "reset" `Quick (clean test_reset_clears);
         ] );
-      ( "metrics-shim",
+      ( "round-spans",
         [
-          Alcotest.test_case "multi-domain records" `Quick
-            (clean test_metrics_multidomain);
-          Alcotest.test_case "forwards to trace" `Quick
-            (clean test_metrics_forwards_to_trace);
+          Alcotest.test_case "one per round, enclosing its phases" `Quick
+            (clean test_round_spans);
         ] );
       ( "determinism",
         [
