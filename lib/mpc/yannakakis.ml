@@ -505,63 +505,60 @@ let gym_job ?(seed = 0) ?forest ?executor ?(faults = Lamp_faults.Plan.none) ~p
          budget costs a backup copy. *)
       let recoveries =
         let module Plan = Lamp_faults.Plan in
-        if Plan.is_none faults then []
-        else begin
-          let budget = Plan.speculation_budget faults in
-          let _, analytic =
-            List.fold_left
-              (fun (round, acc) ((_ : Stats.round_stats), received) ->
-                let crashed = ref 0 in
-                let replayed = ref 0 in
-                let retries = ref 0 in
-                let speculated = ref 0 in
-                for s = 0 to Array.length received - 1 do
-                  if Plan.crashes faults ~round ~server:s then begin
-                    incr crashed;
-                    replayed := !replayed + received.(s)
-                  end;
-                  retries :=
-                    !retries
-                    + Plan.transient_failures faults ~round
-                        ~phase:Plan.Compute ~task:s;
-                  if budget > 0.0 then begin
-                    let stall =
-                      Plan.straggle_delay faults ~round ~phase:Plan.Compute
-                        ~task:s
-                    in
-                    if
-                      stall > 0.0
-                      && (stall > budget
-                         || stall = budget
-                            && Plan.speculation_tie faults ~round
-                                 ~phase:Plan.Compute ~task:s
-                               = `Backup)
-                    then incr speculated
-                  end
-                done;
-                let acc =
-                  if !crashed > 0 || !retries > 0 || !speculated > 0 then
-                    {
-                      Stats.round;
-                      crashed = !crashed;
-                      replayed = !replayed;
-                      retransmitted = 0;
-                      duplicates = 0;
-                      retries = !retries;
-                      speculated = !speculated;
-                    }
-                    :: acc
-                  else acc
-                in
-                (round + 1, acc))
-              (1, []) rounds_in_order
-          in
-          (* Rebalance records interleave with the per-round analytic
-             ones; on the same round the rebalance happened first. *)
-          List.stable_sort
-            (fun a b -> compare a.Stats.round b.Stats.round)
-            (List.rev !rebalances @ List.rev analytic)
-        end
+        let budget = Plan.speculation_budget faults in
+        let _, analytic =
+          List.fold_left
+            (fun (round, acc) ((_ : Stats.round_stats), received) ->
+              let crashed = ref 0 in
+              let replayed = ref 0 in
+              let retries = ref 0 in
+              let speculated = ref 0 in
+              for s = 0 to Array.length received - 1 do
+                if Plan.crashes faults ~round ~server:s then begin
+                  incr crashed;
+                  replayed := !replayed + received.(s)
+                end;
+                retries :=
+                  !retries
+                  + Plan.transient_failures faults ~round
+                      ~phase:Plan.Compute ~task:s;
+                if budget > 0.0 then begin
+                  let stall =
+                    Plan.straggle_delay faults ~round ~phase:Plan.Compute
+                      ~task:s
+                  in
+                  if
+                    stall > 0.0
+                    && (stall > budget
+                       || stall = budget
+                          && Plan.speculation_tie faults ~round
+                               ~phase:Plan.Compute ~task:s
+                             = `Backup)
+                  then incr speculated
+                end
+              done;
+              let acc =
+                if !crashed > 0 || !retries > 0 || !speculated > 0 then
+                  {
+                    Stats.round;
+                    crashed = !crashed;
+                    replayed = !replayed;
+                    retransmitted = 0;
+                    duplicates = 0;
+                    retries = !retries;
+                    speculated = !speculated;
+                  }
+                  :: acc
+                else acc
+              in
+              (round + 1, acc))
+            (1, []) rounds_in_order
+        in
+        (* Rebalance records interleave with the per-round analytic
+           ones; on the same round the rebalance happened first. *)
+        List.stable_sort
+          (fun a b -> compare a.Stats.round b.Stats.round)
+          (List.rev !rebalances @ List.rev analytic)
       in
       let stats =
         {

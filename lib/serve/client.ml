@@ -3,15 +3,11 @@ module Instance = Lamp_relational.Instance
 type t = {
   fd : Unix.file_descr;
   mutable closed : bool;
-  (* Negotiated protocol version; starts optimistic at our own and is
-     settled by {!hello} (both peers default to the same version, so a
-     session that skips hello still agrees with a same-build server). *)
-  mutable version : int;
   (* Per-request deadline budget, set at connect time. *)
   timeout_s : float option;
   (* This connection's trace id and the next span id under it; carried
-     by the [Traced] envelope on every v2 work request so server-side
-     spans link back to the caller. *)
+     in the header of every request so server-side spans link back to
+     the caller. *)
   trace : int;
   mutable next_span : int;
 }
@@ -71,7 +67,6 @@ let connect ?timeout_s fd addr =
     {
       fd;
       closed = false;
-      version = Wire.protocol_version;
       timeout_s;
       trace = fresh_trace ();
       next_span = 0;
@@ -114,44 +109,33 @@ let deadline t =
 let check_open t =
   if t.closed then raise (Connection_lost "client is closed")
 
+(* Send one request: [op] under this connection's trace id, a fresh
+   span id and the caller's idempotency key, if any. *)
+let send t ?key ~deadline op =
+  let span = t.next_span in
+  t.next_span <- span + 1;
+  io t "request" (fun () ->
+      Wire.write_request ?deadline t.fd
+        { header = { trace = t.trace; span; key }; op })
+
+let read t ~deadline =
+  io t "response" (fun () -> Wire.read_response ?deadline t.fd)
+
 (* One request/response exchange under a single absolute deadline. *)
-let roundtrip t req =
+let roundtrip ?key t op =
   check_open t;
-  let dl = deadline t in
-  io t "request" (fun () -> Wire.write_request ?deadline:dl t.fd req);
-  match
-    io t "response" (fun () ->
-        Wire.read_response ~version:t.version ?deadline:dl t.fd)
-  with
+  let deadline = deadline t in
+  send t ?key ~deadline op;
+  match read t ~deadline with
   | Error { code; message } -> raise (Server_error (code, message))
   | resp -> resp
 
-(* Wrap a work request in the trace envelope on a v2 session. Scrape
-   ops ({!metrics}, {!trace_dump}) stay unwrapped: the scraper should
-   read the trace, not add to it. *)
-let traced t req =
-  if t.version >= 2 then begin
-    let span = t.next_span in
-    t.next_span <- span + 1;
-    Wire.Traced { trace = t.trace; span; req }
-  end
-  else req
-
-(* The idempotency envelope, inside [Traced]: v3 sessions only (an old
-   server would reject the unknown tag, so the key is silently dropped
-   on a downgraded session — re-execution semantics, as before v3). *)
-let keyed t ?key req =
-  match key with
-  | Some k when t.version >= 3 -> Wire.Keyed { key = k; req }
-  | _ -> req
-
-let hello ?(client = "anon") ?(version = Wire.protocol_version) t =
-  match roundtrip t (Hello { client; version }) with
-  | Hello_ok { server; version = negotiated } ->
-    if negotiated > version || negotiated < 1 then
-      proto "server negotiated protocol %d, client offered %d" negotiated
-        version;
-    t.version <- negotiated;
+let hello ?(client = "anon") t =
+  match roundtrip t (Hello { client; version = Wire.protocol_version }) with
+  | Hello_ok { server; version } ->
+    if version <> Wire.protocol_version then
+      proto "server answered protocol %d, client speaks %d" version
+        Wire.protocol_version;
     server
   | _ -> proto "expected Hello_ok"
 
@@ -162,7 +146,7 @@ type prepared = {
 }
 
 let prepare ?key t ~instance ~query =
-  match roundtrip t (traced t (keyed t ?key (Prepare { instance; query }))) with
+  match roundtrip ?key t (Prepare { instance; query }) with
   | Prepared { id; cached; atoms } -> { id; cached; atoms }
   | _ -> proto "expected Prepared"
 
@@ -172,16 +156,10 @@ let prepare ?key t ~instance ~query =
    chaos proxy) trickling batches forever cannot pin the caller. *)
 let execute ?key t ~instance ?(mode = Wire.Local) plan =
   check_open t;
-  let dl = deadline t in
-  io t "request" (fun () ->
-      Wire.write_request ?deadline:dl t.fd
-        (traced t (keyed t ?key (Execute { instance; plan; mode }))));
-  let read () =
-    io t "response" (fun () ->
-        Wire.read_response ~version:t.version ?deadline:dl t.fd)
-  in
+  let deadline = deadline t in
+  send t ?key ~deadline (Execute { instance; plan; mode });
   let rec collect acc = function
-    | Wire.Batch facts -> collect (List.rev_append facts acc) (read ())
+    | Wire.Batch facts -> collect (List.rev_append facts acc) (read t ~deadline)
     | Wire.Done { facts; stats } ->
       let got = List.length acc in
       if got <> facts then
@@ -190,32 +168,31 @@ let execute ?key t ~instance ?(mode = Wire.Local) plan =
     | Wire.Error { code; message } -> raise (Server_error (code, message))
     | _ -> proto "expected Batch or Done"
   in
-  collect [] (read ())
+  collect [] (read t ~deadline)
 
 let ingest ?key t ~instance facts =
-  match roundtrip t (traced t (keyed t ?key (Ingest { instance; facts }))) with
+  match roundtrip ?key t (Ingest { instance; facts }) with
   | Ingested { added } -> added
   | _ -> proto "expected Ingested"
 
 let stats t =
-  match roundtrip t (traced t Wire.Stats) with
+  match roundtrip t Stats with
   | Stats_reply s -> s
   | _ -> proto "expected Stats_reply"
 
 let health t =
-  match roundtrip t (traced t Wire.Health) with
+  match roundtrip t Health with
   | Healthy -> true
   | _ -> false
 
 let metrics t =
-  match roundtrip t Wire.Metrics with
+  match roundtrip t Metrics with
   | Metrics_reply text -> text
   | _ -> proto "expected Metrics_reply"
 
 let trace_dump ?(limit = 256) t =
-  match roundtrip t (Wire.Trace_dump { limit }) with
+  match roundtrip t (Trace_dump { limit }) with
   | Trace_reply spans -> spans
   | _ -> proto "expected Trace_reply"
 
-let version t = t.version
 let trace_id t = t.trace

@@ -49,20 +49,15 @@ val connect_tcp : ?timeout_s:float -> ?host:string -> port:int -> unit -> t
     ([ECONNREFUSED], a not-yet-bound socket path, …) raise
     {!Connection_lost}. *)
 
-val hello : ?client:string -> ?version:int -> t -> string
+val hello : ?client:string -> t -> string
 (** Identifies the session (the server's quota key; default ["anon"])
-    and negotiates the protocol version: the session then speaks
-    [min (client, server)]. [version] (default
-    {!Wire.protocol_version}) lets tests impersonate an older client;
-    returns the server's name. On a v2 session every later work request
-    is wrapped in {!Wire.Traced} with this connection's trace id. *)
-
-val version : t -> int
-(** The negotiated protocol version (own version before {!hello}). *)
+    and checks that the server speaks {!Wire.protocol_version}; returns
+    the server's name. A server of another version refuses the hello
+    with [Bad_request]. *)
 
 val trace_id : t -> int
-(** This connection's trace id, carried by the {!Wire.Traced}
-    envelopes. *)
+(** This connection's trace id, carried in the {!Wire.header} of every
+    request together with a fresh span id. *)
 
 type prepared = {
   id : int;  (** Pass as [Wire.Id id] to {!execute}. *)
@@ -87,14 +82,13 @@ val ingest :
   ?key:int -> t -> instance:string -> Lamp_relational.Fact.t list -> int
 (** Returns how many facts were new.
 
-    On {!prepare}/{!execute}/{!ingest}, [?key] is an idempotency key:
-    on a v3 session the request is wrapped in {!Wire.Keyed} and the
-    server deduplicates — re-sending the same [(client, key)] after a
-    {!Connection_lost} or {!Timed_out} replays the recorded response
-    instead of executing again, so a retried keyed ingest counts its
-    facts exactly once. Keys must be unique per logical operation
-    within a client name's dedup window; on a pre-v3 session the key
-    is dropped (plain at-least-once semantics). *)
+    On {!prepare}/{!execute}/{!ingest}, [?key] is an idempotency key,
+    carried in the request's {!Wire.header}: the server deduplicates —
+    re-sending the same [(client, key)] after a {!Connection_lost} or
+    {!Timed_out} replays the recorded response instead of executing
+    again, so a retried keyed ingest counts its facts exactly once.
+    Keys must be unique per logical operation within a client name's
+    dedup window. *)
 
 val stats : t -> Wire.server_stats
 val health : t -> bool
@@ -103,13 +97,11 @@ val health : t -> bool
 
 val metrics : t -> string
 (** Live telemetry scrape: the server's current metrics as OpenMetrics
-    text (parse with [Obs.Export.parse_openmetrics]). Requires a v2
-    session. *)
+    text (parse with [Obs.Export.parse_openmetrics]). *)
 
 val trace_dump : ?limit:int -> t -> Wire.span_info list
 (** The server's most recent completed spans, oldest first ([limit]
-    defaults to 256). Empty unless the server runs with tracing on.
-    Requires a v2 session. *)
+    defaults to 256). Empty unless the server runs with tracing on. *)
 
 val close : t -> unit
 (** Idempotent. *)

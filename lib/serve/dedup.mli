@@ -1,11 +1,12 @@
 (** The idempotency-key dedup window.
 
-    One logical client op (a {!Wire.request.Keyed} envelope) maps to
-    one entry keyed by (client name, key). The first execution claims
-    the entry, runs, and {!commit}s its recorded responses; any retry
-    of the same key — typically after the chaos of a connection loss,
-    when the client cannot know whether the op executed — {!acquire}s
-    a [`Replay] and answers from the record instead of re-executing.
+    One logical client op (a request whose {!Wire.header} carries a
+    key) maps to one entry keyed by (client name, key). The first
+    execution claims the entry, runs, and {!commit}s its recorded
+    responses; any retry of the same key — typically after the chaos
+    of a connection loss, when the client cannot know whether the op
+    executed — {!acquire}s a [`Replay] and answers from the record
+    instead of re-executing.
     An ingest therefore applies {e exactly once} no matter how many
     times the client has to re-send it.
 
@@ -41,8 +42,9 @@ val acquire :
     while another session is executing the same key {e with the same
     digest}; [`Mismatch]: the key exists (pending or finished) but was
     claimed for a different request — reject, never replay. [digest]
-    is any collision-resistant-enough fingerprint of the inner request
-    (the server uses {!Wire.checksum} of its encoding). *)
+    is any collision-resistant-enough fingerprint of the op (the server
+    uses {!Wire.checksum} of {!Wire.op_to_string}, which leaves out the
+    header and its per-retry span id). *)
 
 val commit : t -> token -> Wire.response list -> unit
 (** Record the op's responses (in send order) and wake waiting

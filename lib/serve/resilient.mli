@@ -21,17 +21,11 @@
     process that reuses a client name draws from a fresh key range
     instead of colliding with the dead process's entries still in the
     server's window — and the server cross-checks every replay against
-    a digest of the request, so even a colliding key yields a typed
-    error, never another operation's response.
-
-    The exactly-once contract needs the wire to carry the key, which
-    protocol version 3 introduced. On a session negotiated below v3
-    the key cannot be sent, so {!ingest} — the one non-idempotent op —
-    {e refuses to retry} a transport failure that may have already
-    applied: the original {!Client.Connection_lost}/{!Client.Timed_out}
-    propagates rather than silently degrading to at-least-once.
-    Idempotent ops (and failures proven to precede the send, e.g. a
-    failed reconnect) retry as usual.
+    a digest of the op, so even a colliding key yields a typed
+    error, never another operation's response. The key travels in the
+    fixed {!Wire.header} of every request, so a transport failure
+    after the send is retried like any other: even for {!ingest}, the
+    one non-idempotent op, the replay makes the retry exactly-once.
 
     All failure handling is deterministic given the seed: the backoff
     schedule is a pure function of [(seed, attempt)], and no attempt
@@ -65,7 +59,6 @@ type t
 val create :
   ?config:config ->
   ?client:string ->
-  ?hello_version:int ->
   ?key_nonce:int ->
   (unit -> Client.t) ->
   t
@@ -73,11 +66,10 @@ val create :
     first operation. [client] (default ["resilient"]) is the stable
     session name sent in {!Client.hello} on every (re)connect — it is
     the server's dedup-window key, so two wrappers sharing a name also
-    share a replay window. [hello_version] lets tests pin an older
-    protocol. [key_nonce] (masked to 30 bits) pins the idempotency-key
-    range; by default it is drawn from time-and-pid entropy so
-    restarted wrappers do not reuse keys — pass it explicitly when a
-    test needs reproducible keys.
+    share a replay window. [key_nonce] (masked to 30 bits) pins the
+    idempotency-key range; by default it is drawn from time-and-pid
+    entropy so restarted wrappers do not reuse keys — pass it
+    explicitly when a test needs reproducible keys.
     @raise Invalid_argument on a non-positive [max_attempts] or a
     negative delay. *)
 
@@ -91,11 +83,9 @@ val execute :
   Lamp_relational.Instance.t * Lamp_mpc.Stats.t option
 
 val ingest : t -> instance:string -> Lamp_relational.Fact.t list -> int
-(** Keyed, retried variants of the {!Client} operations: identical
-    results, at-most-once server-side effects per logical call. On a
-    pre-v3 session (no key on the wire), [ingest] does not retry a
-    transport failure that may have reached the server — the typed
-    error propagates (see the module preamble). *)
+(** Retried variants of the {!Client} operations under an idempotency
+    key: identical results, at-most-once server-side effects per
+    logical call. *)
 
 val stats : t -> Wire.server_stats
 val health : t -> bool

@@ -141,8 +141,8 @@ let () =
   Metrics.describe ~kind:Metrics.Counter
     ~help:"Requests refused by a client's token bucket" "serve.throttled";
   Metrics.describe ~kind:Metrics.Counter
-    ~help:"Keyed requests answered from the dedup window instead of \
-           re-executed"
+    ~help:"Requests with an idempotency key answered from the dedup \
+           window instead of re-executed"
     "serve.deduped";
   Metrics.describe ~kind:Metrics.Counter
     ~help:"Requests rejected with Overloaded while load shedding"
@@ -532,13 +532,10 @@ let span_info_of_event : Trace.event -> Wire.span_info option = function
     Some { Wire.sp_name = name; sp_cat = cat; sp_tid = tid; sp_t = t; sp_dur = dur }
   | Trace.Instant _ | Trace.Sample _ -> None
 
-(* [version] is the session's negotiated protocol version; every
-   response on the session is encoded with it, so a v1 client gets
-   v1-layout replies. Responses carry the write deadline: a peer that
-   stops draining its socket times the session out instead of pinning
-   it forever. Inside a [Keyed] execution every reply is also recorded
-   for the dedup window. *)
-let handle_request t fd version client req =
+(* Responses carry the write deadline: a peer that stops draining its
+   socket times the session out instead of pinning it forever. Inside a
+   keyed execution every reply is also recorded for the dedup window. *)
+let handle_request t fd client ({ header; op } : Wire.request) =
   Trace.incr requests_c;
   let t0 = Unix.gettimeofday () in
   let recording = ref None in
@@ -551,8 +548,7 @@ let handle_request t fd version client req =
          policy, not by [max_frame]. Past the cap the recording is
          dropped and the keyed wrapper aborts instead of committing:
          a retry of a huge result re-executes rather than replaying. *)
-      bytes :=
-        !bytes + String.length (Wire.response_to_string ~version:!version resp);
+      bytes := !bytes + String.length (Wire.response_to_string resp);
       if !bytes > t.config.dedup_max_bytes then begin
         recording := None;
         oversized := true
@@ -564,30 +560,16 @@ let handle_request t fd version client req =
         (fun s -> Unix.gettimeofday () +. s)
         t.config.write_timeout_s
     in
-    Wire.write_response ~version:!version ?deadline fd resp
+    Wire.write_response ?deadline fd resp
   in
   (try
-     let rec go (req : Wire.request) =
-       match req with
-       | Hello { client = name; version = v } ->
-         if v < Wire.min_protocol_version then
-           reply
-             (Error
-                {
-                  code = Bad_request;
-                  message =
-                    Printf.sprintf
-                      "protocol version %d, server speaks %d..%d" v
-                      Wire.min_protocol_version Wire.protocol_version;
-                })
-         else begin
-           client := name;
-           (* Speak the older of the two dialects for the rest of the
-              session; the client learns the choice from the reply. *)
-           version := min v Wire.protocol_version;
-           reply
-             (Hello_ok { server = t.config.name; version = !version })
-         end
+     let go : Wire.op -> unit = function
+       | Hello { client = name; version } ->
+         if version <> Wire.protocol_version then
+           bad "protocol version %d, server speaks %d" version
+             Wire.protocol_version;
+         client := name;
+         reply (Hello_ok { server = t.config.name; version })
        | Health -> reply Healthy
        | Stats -> reply (Stats_reply (stats t))
        | Metrics -> reply (Metrics_reply (Export.openmetrics ()))
@@ -597,60 +579,6 @@ let handle_request t fd version client req =
            List.filter_map span_info_of_event (Trace.recent ~limit ())
          in
          reply (Trace_reply spans)
-       | Traced { trace; span; req = inner } -> (
-         match inner with
-         | Traced _ -> bad "nested Traced request"
-         | _ ->
-           (* The server-side span for the work, linked to the caller's
-              trace so a client span and its server span correlate in
-              one timeline. *)
-           Trace.span ~cat:"serve"
-             ~args:
-               [
-                 ("trace", Trace.Int trace);
-                 ("span", Trace.Int span);
-                 ("client", Trace.Str !client);
-               ]
-             "serve.request"
-             (fun () -> go inner))
-       | Keyed { key; req = inner } -> (
-         match inner with
-         | Keyed _ | Traced _ | Hello _ -> bad "malformed Keyed request"
-         | _ -> (
-           match t.dedup with
-           | None -> go inner
-           | Some dedup -> (
-             (* The digest ties the window entry to this request's
-                bytes: a colliding (client, key) — client names are
-                self-reported and keys client-allocated — can never be
-                answered with another operation's recording. *)
-             let digest = Wire.checksum (Wire.request_to_string inner) in
-             match Dedup.acquire dedup ~client:!client ~key ~digest with
-             | `Replay rs ->
-               (* The op already ran to completion (possibly on a
-                  session whose connection the client lost): answer
-                  with the recorded responses, execute nothing. *)
-               Atomic.incr t.deduped_n;
-               Trace.incr deduped_c;
-               List.iter reply rs
-             | `Mismatch ->
-               bad "idempotency key %d re-used for a different request"
-                 key
-             | `Run token -> (
-               let acc = ref [] in
-               oversized := false;
-               recording := Some (acc, ref 0);
-               match go inner with
-               | () ->
-                 recording := None;
-                 if !oversized then Dedup.abort dedup token
-                 else Dedup.commit dedup token (List.rev !acc)
-               | exception e ->
-                 (* Only successful completions are recorded: the
-                    retry of a shed or failed attempt re-executes. *)
-                 recording := None;
-                 Dedup.abort dedup token;
-                 raise e))))
        | Prepare { instance; query } ->
          shed_check t;
          if not (quota_allows t !client) then begin
@@ -697,7 +625,60 @@ let handle_request t fd version client req =
              Atomic.incr t.served;
              reply (Ingested { added }))
      in
-     go req
+     let keyed () =
+       match (header.key, op, t.dedup) with
+       | Some _, Hello _, _ -> bad "a keyed Hello is not a re-executable op"
+       | None, _, _ | _, _, None -> go op
+       | Some key, _, Some dedup -> (
+         (* The digest ties the window entry to this op's bytes — never
+            the header, whose span id changes on every retry. A
+            colliding (client, key) — client names are self-reported
+            and keys client-allocated — can never be answered with
+            another operation's recording. *)
+         let digest = Wire.checksum (Wire.op_to_string op) in
+         match Dedup.acquire dedup ~client:!client ~key ~digest with
+         | `Replay rs ->
+           (* The op already ran to completion (possibly on a session
+              whose connection the client lost): answer with the
+              recorded responses, execute nothing. *)
+           Atomic.incr t.deduped_n;
+           Trace.incr deduped_c;
+           List.iter reply rs
+         | `Mismatch ->
+           bad "idempotency key %d re-used for a different request" key
+         | `Run token -> (
+           let acc = ref [] in
+           oversized := false;
+           recording := Some (acc, ref 0);
+           match go op with
+           | () ->
+             recording := None;
+             if !oversized then Dedup.abort dedup token
+             else Dedup.commit dedup token (List.rev !acc)
+           | exception e ->
+             (* Only successful completions are recorded: the retry of
+                a shed or failed attempt re-executes. *)
+             recording := None;
+             Dedup.abort dedup token;
+             raise e))
+     in
+     match op with
+     | Hello _ | Metrics | Trace_dump _ ->
+       (* Session setup and scrapes: the scraper reads the trace
+          without adding to it. *)
+       keyed ()
+     | Prepare _ | Execute _ | Ingest _ | Stats | Health ->
+       (* The server-side span for the work, linked to the caller's
+          trace so a client span and its server span correlate in one
+          timeline. *)
+       Trace.span ~cat:"serve"
+         ~args:
+           [
+             ("trace", Trace.Int header.trace);
+             ("span", Trace.Int header.span);
+             ("client", Trace.Str !client);
+           ]
+         "serve.request" keyed
    with
   | Reply (code, message) -> reply (Error { code; message })
   | Rpool.Draining ->
@@ -747,7 +728,6 @@ let session t fd =
         with _ -> ()
       else begin
         let client = ref "anon" in
-        let version = ref Wire.protocol_version in
         let rdeadline () =
           Option.map
             (fun s -> Unix.gettimeofday () +. s)
@@ -755,7 +735,7 @@ let session t fd =
         in
         let hangup_with code message =
           try
-            Wire.write_response ~version:!version fd (Error { code; message })
+            Wire.write_response fd (Error { code; message })
           with _ -> ()
         in
         let rec loop () =
@@ -773,7 +753,7 @@ let session t fd =
                 ?deadline:(rdeadline ()) fd
             with
             | req ->
-              handle_request t fd version client req;
+              handle_request t fd client req;
               last := Unix.gettimeofday ();
               loop ()
             | exception Wire.Closed -> ()

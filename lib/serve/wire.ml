@@ -1,17 +1,9 @@
 module Codec = Lamp_jobs.Codec
 module Stats = Lamp_mpc.Stats
 
-(* Version 3 (this revision) adds the [Keyed] idempotency envelope,
-   the [Overloaded]/[Corrupt_frame] error codes and the dedup/shed/reap
-   counters in [server_stats]; version 2 added wire-level trace
-   propagation (the [Traced] request envelope), the live-telemetry ops
-   ([Metrics], [Trace_dump]) and an uptime field in [server_stats].
-   Old clients keep working: the server negotiates [min client server]
-   at hello time and encodes that session's responses in the negotiated
-   layout ([?version] on the response codecs), downgrading the v3 error
-   codes to their closest older equivalent. *)
-let protocol_version = 3
-let min_protocol_version = 1
+(* There is one dialect: the server refuses a hello of any other
+   version instead of negotiating, so any layout change bumps this. *)
+let protocol_version = 4
 let max_frame = 256 * 1024 * 1024
 
 type mode =
@@ -24,7 +16,7 @@ type plan_ref =
   | Id of int
   | Adhoc of string
 
-type request =
+type op =
   | Hello of { client : string; version : int }
   | Prepare of { instance : string; query : string }
   | Execute of { instance : string; plan : plan_ref; mode : mode }
@@ -33,8 +25,17 @@ type request =
   | Health
   | Metrics
   | Trace_dump of { limit : int }
-  | Traced of { trace : int; span : int; req : request }
-  | Keyed of { key : int; req : request }
+
+type header = {
+  trace : int;
+  span : int;
+  key : int option;
+}
+
+type request = {
+  header : header;
+  op : op;
+}
 
 type error_code =
   | Bad_request
@@ -119,7 +120,7 @@ let r_plan_ref r =
   | 'a' -> Adhoc (Codec.r_string r)
   | c -> raise (Codec.Corrupt (Printf.sprintf "bad plan-ref tag %C" c))
 
-let rec w_request b = function
+let w_op b = function
   | Hello { client; version } ->
     Codec.w_char b 'h';
     Codec.w_string b client;
@@ -143,17 +144,8 @@ let rec w_request b = function
   | Trace_dump { limit } ->
     Codec.w_char b 't';
     Codec.w_int b limit
-  | Traced { trace; span; req } ->
-    Codec.w_char b 'T';
-    Codec.w_int b trace;
-    Codec.w_int b span;
-    w_request b req
-  | Keyed { key; req } ->
-    Codec.w_char b 'K';
-    Codec.w_int b key;
-    w_request b req
 
-let rec r_request r =
+let r_op r =
   match Codec.r_char r with
   | 'h' ->
     let client = Codec.r_string r in
@@ -172,41 +164,29 @@ let rec r_request r =
   | '?' -> Health
   | 'm' -> Metrics
   | 't' -> Trace_dump { limit = Codec.r_int r }
-  | 'T' ->
-    let trace = Codec.r_int r in
-    let span = Codec.r_int r in
-    (* One trace envelope per request: a nested [Traced] is malformed,
-       not merely unusual — reject it like any other bad frame. The
-       canonical nesting order is Traced{Keyed{op}}. *)
-    (match r_request r with
-    | Traced _ -> raise (Codec.Corrupt "nested Traced request")
-    | req -> Traced { trace; span; req })
-  | 'K' ->
-    let key = Codec.r_int r in
-    (* An idempotency key marks one re-executable engine op. Envelopes
-       and session-level requests inside it are malformed. *)
-    (match r_request r with
-    | Keyed _ -> raise (Codec.Corrupt "nested Keyed request")
-    | Traced _ -> raise (Codec.Corrupt "Traced inside Keyed request")
-    | Hello _ -> raise (Codec.Corrupt "Hello inside Keyed request")
-    | req -> Keyed { key; req })
   | c -> raise (Codec.Corrupt (Printf.sprintf "bad request tag %C" c))
 
-(* The v3 error codes downgrade on old sessions to the closest code the
-   client can decode: Overloaded is a transient capacity refusal like
-   Throttled, a corrupt frame is a malformed request. *)
-let w_error_code ~version b = function
+let w_request b { header = { trace; span; key }; op } =
+  Codec.w_int b trace;
+  Codec.w_int b span;
+  Codec.w_option b Codec.w_int key;
+  w_op b op
+
+let r_request r =
+  let trace = Codec.r_int r in
+  let span = Codec.r_int r in
+  let key = Codec.r_option r Codec.r_int in
+  { header = { trace; span; key }; op = r_op r }
+
+let w_error_code b = function
   | Bad_request -> Codec.w_char b 'b'
   | Rejected -> Codec.w_char b 'j'
   | Throttled -> Codec.w_char b 't'
   | Failed -> Codec.w_char b 'f'
   | Overloaded { retry_after_s } ->
-    if version >= 3 then begin
-      Codec.w_char b 'o';
-      Codec.w_float b retry_after_s
-    end
-    else Codec.w_char b 't'
-  | Corrupt_frame -> if version >= 3 then Codec.w_char b 'c' else Codec.w_char b 'b'
+    Codec.w_char b 'o';
+    Codec.w_float b retry_after_s
+  | Corrupt_frame -> Codec.w_char b 'c'
 
 let r_error_code r =
   match Codec.r_char r with
@@ -241,12 +221,7 @@ let r_pool_row r =
   let in_use = Codec.r_int r in
   (name, in_use, Codec.r_int r)
 
-(* [server_stats] is the one message whose layout changed across
-   protocol versions: v1 has no uptime field, v2 none of the
-   dedup/shed/reap counters. The codecs take the negotiated session
-   version so an old client still decodes what a newer server sends it
-   (and the tests can round-trip all layouts). *)
-let w_server_stats ~version b s =
+let w_server_stats b s =
   Codec.w_int b s.sessions;
   Codec.w_int b s.active_requests;
   Codec.w_int b s.executor_in_flight;
@@ -258,14 +233,12 @@ let w_server_stats ~version b s =
   Codec.w_int b s.requests_served;
   Codec.w_int b s.rejected;
   Codec.w_int b s.throttled;
-  if version >= 2 then Codec.w_float b s.uptime_s;
-  if version >= 3 then begin
-    Codec.w_int b s.deduped;
-    Codec.w_int b s.shed;
-    Codec.w_int b s.reaped
-  end
+  Codec.w_float b s.uptime_s;
+  Codec.w_int b s.deduped;
+  Codec.w_int b s.shed;
+  Codec.w_int b s.reaped
 
-let r_server_stats ~version r =
+let r_server_stats r =
   let sessions = Codec.r_int r in
   let active_requests = Codec.r_int r in
   let executor_in_flight = Codec.r_int r in
@@ -277,10 +250,10 @@ let r_server_stats ~version r =
   let requests_served = Codec.r_int r in
   let rejected = Codec.r_int r in
   let throttled = Codec.r_int r in
-  let uptime_s = if version >= 2 then Codec.r_float r else 0.0 in
-  let deduped = if version >= 3 then Codec.r_int r else 0 in
-  let shed = if version >= 3 then Codec.r_int r else 0 in
-  let reaped = if version >= 3 then Codec.r_int r else 0 in
+  let uptime_s = Codec.r_float r in
+  let deduped = Codec.r_int r in
+  let shed = Codec.r_int r in
+  let reaped = Codec.r_int r in
   {
     sessions;
     active_requests;
@@ -314,7 +287,7 @@ let r_span_info r =
   let sp_dur = Codec.r_float r in
   { sp_name; sp_cat; sp_tid; sp_t; sp_dur }
 
-let w_response ~version b = function
+let w_response b = function
   | Hello_ok { server; version = v } ->
     Codec.w_char b 'H';
     Codec.w_string b server;
@@ -336,11 +309,11 @@ let w_response ~version b = function
     Codec.w_int b added
   | Stats_reply s ->
     Codec.w_char b 'S';
-    w_server_stats ~version b s
+    w_server_stats b s
   | Healthy -> Codec.w_char b 'O'
   | Error { code; message } ->
     Codec.w_char b 'E';
-    w_error_code ~version b code;
+    w_error_code b code;
     Codec.w_string b message
   | Metrics_reply text ->
     Codec.w_char b 'M';
@@ -349,7 +322,7 @@ let w_response ~version b = function
     Codec.w_char b 'T';
     Codec.w_list b w_span_info spans
 
-let r_response ~version r =
+let r_response r =
   match Codec.r_char r with
   | 'H' ->
     let server = Codec.r_string r in
@@ -363,7 +336,7 @@ let r_response ~version r =
     let facts = Codec.r_int r in
     Done { facts; stats = Codec.r_option r r_mpc_stats }
   | 'G' -> Ingested { added = Codec.r_int r }
-  | 'S' -> Stats_reply (r_server_stats ~version r)
+  | 'S' -> Stats_reply (r_server_stats r)
   | 'O' -> Healthy
   | 'E' ->
     let code = r_error_code r in
@@ -383,14 +356,11 @@ let decode rd s =
   Codec.r_end r;
   v
 
+let op_to_string = encode w_op
 let request_to_string = encode w_request
 let request_of_string = decode r_request
-
-let response_to_string ?(version = protocol_version) resp =
-  encode (w_response ~version) resp
-
-let response_of_string ?(version = protocol_version) s =
-  decode (r_response ~version) s
+let response_to_string = encode w_response
+let response_of_string = decode r_response
 
 (* Framed I/O. The frame header is 16 bytes: the payload length and a
    checksum of the payload, both 8-byte big-endian. The checksum is a
@@ -514,8 +484,8 @@ let read_request ?max_len ?deadline fd =
 let write_request ?deadline fd req =
   write_frame ?deadline fd (request_to_string req)
 
-let read_response ?version ?max_len ?deadline fd =
-  response_of_string ?version (read_frame ?max_len ?deadline fd)
+let read_response ?max_len ?deadline fd =
+  response_of_string (read_frame ?max_len ?deadline fd)
 
-let write_response ?version ?deadline fd resp =
-  write_frame ?deadline fd (response_to_string ?version resp)
+let write_response ?deadline fd resp =
+  write_frame ?deadline fd (response_to_string resp)

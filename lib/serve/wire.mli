@@ -3,7 +3,9 @@
     Every message is one {e frame}: a 16-byte header — the payload
     length and a checksum of the payload, both 8-byte big-endian —
     followed by the payload, a {!Lamp_jobs.Codec} encoding of a
-    {!request} or {!response}. Framing and payload reuse the checkpoint
+    {!request} or {!response}. Every request payload starts with the
+    same fixed {!header} (trace id, span id, optional idempotency key)
+    followed by one {!op}. Framing and payload reuse the checkpoint
     codec deliberately: its decoders treat input as untrusted (length
     prefixes are validated before allocation, malformed bytes raise
     {!Lamp_jobs.Codec.Corrupt}, never crash), which is exactly the
@@ -16,20 +18,10 @@
     and the property tests can round-trip random messages. *)
 
 val protocol_version : int
-(** Bumped on any incompatible change to the frame or message layout.
-    {!Hello} carries the client's copy; the server {e negotiates}: a
-    session speaks [min (client, server)] as long as the client's
-    version is at least {!min_protocol_version}, and the negotiated
-    version comes back in {!Hello_ok}. Version 3 added the {!Keyed}
-    idempotency envelope, the [Overloaded]/[Corrupt_frame] error codes
-    and the dedup/shed/reap stats counters; version 2 added {!Metrics},
-    {!Trace_dump}, the {!Traced} envelope and the [uptime_s] stats
-    field. Old clients keep working because none of the newer messages
-    appear on their sessions, and newer error codes downgrade to the
-    closest older code. *)
-
-val min_protocol_version : int
-(** Oldest client version the server still accepts (currently 1). *)
+(** Bumped on any incompatible change to the frame or message layout
+    (currently 4). There is one dialect: {!Hello} carries the client's
+    copy, and the server accepts exactly its own version, answering any
+    other with a [Bad_request] error that names both. *)
 
 val max_frame : int
 (** Default upper bound on a payload length (256 MiB). A frame header
@@ -57,7 +49,8 @@ type plan_ref =
   | Id of int
   | Adhoc of string
 
-type request =
+(** What a request asks the server to do. *)
+type op =
   | Hello of { client : string; version : int }
       (** First request of a session: names the client (the quota key)
           and checks protocol compatibility. *)
@@ -73,25 +66,35 @@ type request =
   | Health
   | Metrics
       (** Live telemetry scrape: the server answers {!Metrics_reply}
-          with an OpenMetrics text snapshot ([Obs.Export.openmetrics]).
-          Protocol version 2. *)
+          with an OpenMetrics text snapshot ([Obs.Export.openmetrics]). *)
   | Trace_dump of { limit : int }
       (** The most recent [limit] completed server-side spans, newest
-          last ({!Trace_reply}). Protocol version 2. *)
-  | Traced of { trace : int; span : int; req : request }
-      (** Client-side trace propagation: wraps any non-[Traced] request
-          with the caller's trace and span ids so the server's span for
-          the work links back to the client's. Decoders reject a nested
-          [Traced]. Protocol version 2. *)
-  | Keyed of { key : int; req : request }
-      (** Idempotency envelope: [key] identifies one {e logical} engine
-          op (prepare/execute/ingest). A client retrying after a
-          connection loss re-sends the same key; the server's dedup
-          window (keyed by client name and [key]) replays the recorded
-          responses instead of re-executing, so a retried ingest applies
-          exactly once. Decoders reject [Hello], [Traced] or another
-          [Keyed] inside; the canonical nesting is [Traced{Keyed{op}}].
-          Protocol version 3. *)
+          last ({!Trace_reply}). *)
+
+type header = {
+  trace : int;
+  span : int;
+      (** The caller's trace id and span id. The server records every
+          op except [Hello], [Metrics] and [Trace_dump] under a
+          ["serve.request"] span carrying both, so a client span and
+          its server span correlate in one timeline; scrapes read the
+          trace without adding to it. *)
+  key : int option;
+      (** Idempotency key: [Some k] identifies one {e logical} op. A
+          client retrying after a connection loss re-sends the same
+          key; the server's dedup window (keyed by client name and
+          [k]) replays the recorded responses instead of re-executing,
+          so a retried ingest applies exactly once. The window entry is
+          tied to a digest of the encoded {!op} alone, never the
+          header: a retry carries a fresh span id and must still
+          replay. A keyed [Hello] is refused with [Bad_request]. *)
+}
+(** Carried by every request frame, in front of its {!op}. *)
+
+type request = {
+  header : header;
+  op : op;
+}
 
 type error_code =
   | Bad_request  (** Unknown instance/plan id, parse error, bad frame. *)
@@ -102,13 +105,11 @@ type error_code =
       (** Load shedding: queue wait is past the server's watermark and
           this request was low-priority work. The client should back
           off at least [retry_after_s] seconds; resilient clients honor
-          it as a floor on their next retry delay. Downgrades to
-          [Throttled] on pre-v3 sessions. *)
+          it as a floor on their next retry delay. *)
   | Corrupt_frame
       (** The server could not decode the client's frame (checksum
           mismatch, bad length, malformed payload) and is hanging up;
-          safe to retry on a fresh connection. Downgrades to
-          [Bad_request] on pre-v3 sessions. *)
+          safe to retry on a fresh connection. *)
 
 type server_stats = {
   sessions : int;  (** Connected sessions, including the asker. *)
@@ -123,19 +124,14 @@ type server_stats = {
   requests_served : int;
   rejected : int;
   throttled : int;
-  uptime_s : float;
-      (** Seconds since the server was created. Added in protocol
-          version 2; a v1 session's encoding omits it (decoded as 0). *)
+  uptime_s : float;  (** Seconds since the server was created. *)
   deduped : int;
-      (** Keyed requests answered from the dedup window instead of
-          re-executed. Protocol version 3 (0 on older sessions). *)
-  shed : int;
-      (** Requests rejected with [Overloaded] while load shedding.
-          Protocol version 3 (0 on older sessions). *)
+      (** Requests with an idempotency key answered from the dedup
+          window instead of re-executed. *)
+  shed : int;  (** Requests rejected with [Overloaded] while load shedding. *)
   reaped : int;
       (** Sessions torn down by a read/write deadline, the idle
-          timeout or the stalled-connection reaper. Protocol version 3
-          (0 on older sessions). *)
+          timeout or the stalled-connection reaper. *)
 }
 
 type span_info = {
@@ -174,16 +170,13 @@ type response =
     below wraps them. Decoders raise {!Lamp_jobs.Codec.Corrupt} on
     malformed input and verify the whole payload is consumed. *)
 
+val op_to_string : op -> string
+(** The op's encoding without a header: what the dedup digest covers. *)
+
 val request_to_string : request -> string
 val request_of_string : string -> request
-
-val response_to_string : ?version:int -> response -> string
-(** [version] (default {!protocol_version}) is the session's negotiated
-    protocol version; it selects the {!server_stats} layout (v1 has no
-    [uptime_s]). Requests need no version: every request tag a client
-    can send is fixed by the client's own version. *)
-
-val response_of_string : ?version:int -> string -> response
+val response_to_string : response -> string
+val response_of_string : string -> response
 
 (** {1 Framed I/O}
 
@@ -243,8 +236,6 @@ val read_request :
 val write_request : ?deadline:float -> Unix.file_descr -> request -> unit
 
 val read_response :
-  ?version:int -> ?max_len:int -> ?deadline:float -> Unix.file_descr ->
-  response
+  ?max_len:int -> ?deadline:float -> Unix.file_descr -> response
 
-val write_response :
-  ?version:int -> ?deadline:float -> Unix.file_descr -> response -> unit
+val write_response : ?deadline:float -> Unix.file_descr -> response -> unit

@@ -50,7 +50,10 @@ let sample_facts =
     Fact.of_list "T" [ Value.str "x\000y" ];
   ]
 
-let sample_requests : Wire.request list =
+let request ?(trace = 0) ?(span = 0) ?key op : Wire.request =
+  { header = { trace; span; key }; op }
+
+let sample_ops : Wire.op list =
   [
     Hello { client = "c1"; version = Wire.protocol_version };
     Prepare { instance = "main"; query = "H(x) <- R(x,y)" };
@@ -65,28 +68,14 @@ let sample_requests : Wire.request list =
     Health;
     Metrics;
     Trace_dump { limit = 128 };
-    Traced
-      {
-        trace = 0x1234;
-        span = 7;
-        req = Execute { instance = "main"; plan = Id 42; mode = Local };
-      };
-    Traced { trace = 0; span = 0; req = Health };
-    Keyed { key = 17; req = Ingest { instance = "main"; facts = sample_facts } };
-    Keyed
-      { key = 0; req = Prepare { instance = "m"; query = "H(x) <- R(x,y)" } };
-    Traced
-      {
-        trace = 9;
-        span = 1;
-        req =
-          Keyed
-            {
-              key = 3;
-              req = Execute { instance = "main"; plan = Id 1; mode = Local };
-            };
-      };
   ]
+
+(* Every op under a bare header and under one carrying trace ids and a
+   key, so the codec tests cover both header layouts for every op. *)
+let sample_requests =
+  List.concat_map
+    (fun op -> [ request op; request ~trace:0x1234 ~span:(-7) ~key:17 op ])
+    sample_ops
 
 let sample_server_stats : Wire.server_stats =
   {
@@ -174,115 +163,18 @@ let test_wire_hostile () =
       check_prefixes (Wire.response_to_string resp) Wire.response_of_string)
     sample_responses;
   (try
-     ignore (Wire.request_of_string "\255garbage");
-     Alcotest.fail "bad tag must raise"
-   with Codec.Corrupt _ -> ());
-  (* Trailing bytes are schema drift, not silence. *)
-  (try
-     ignore
-       (Wire.response_of_string (Wire.response_to_string Wire.Healthy ^ "x"));
-     Alcotest.fail "trailing bytes must raise"
-   with Codec.Corrupt _ -> ());
-  (* The trace envelope must not nest. *)
-  (try
+     let enc = Wire.request_to_string (request Stats) in
      ignore
        (Wire.request_of_string
-          (Wire.request_to_string
-             (Traced
-                {
-                  trace = 1;
-                  span = 2;
-                  req = Traced { trace = 3; span = 4; req = Health };
-                })));
-     Alcotest.fail "nested Traced must raise"
+          (String.sub enc 0 (String.length enc - 1) ^ "\255"));
+     Alcotest.fail "bad op tag must raise"
    with Codec.Corrupt _ -> ());
-  (* Neither may the idempotency envelope: the canonical nesting is
-     Traced{Keyed{op}}, every other composition is rejected. *)
-  let reject name req =
-    try
-      ignore (Wire.request_of_string (Wire.request_to_string req));
-      Alcotest.failf "%s must raise" name
-    with Codec.Corrupt _ -> ()
-  in
-  reject "nested Keyed" (Keyed { key = 1; req = Keyed { key = 2; req = Stats } });
-  reject "Traced inside Keyed"
-    (Keyed { key = 1; req = Traced { trace = 1; span = 0; req = Stats } });
-  reject "Hello inside Keyed"
-    (Keyed { key = 1; req = Hello { client = "x"; version = 3 } })
-
-let test_wire_versioning () =
-  (* A v1 session's stats layout omits uptime_s: shorter on the wire,
-     decoded back with uptime 0. A v2 encoding keeps the float. *)
-  let resp : Wire.response = Stats_reply sample_server_stats in
-  let v1 = Wire.response_to_string ~version:1 resp in
-  let v2 = Wire.response_to_string ~version:2 resp in
-  Alcotest.(check bool) "v1 encoding is strictly shorter" true
-    (String.length v1 < String.length v2);
-  (match Wire.response_of_string ~version:1 v1 with
-  | Stats_reply s ->
-    Alcotest.(check (float 0.0)) "v1 decode defaults uptime" 0.0 s.uptime_s;
-    Alcotest.(check bool) "v1 decode keeps the rest" true
-      ({
-         s with
-         uptime_s = sample_server_stats.uptime_s;
-         deduped = sample_server_stats.deduped;
-         shed = sample_server_stats.shed;
-         reaped = sample_server_stats.reaped;
-       }
-      = sample_server_stats)
-  | _ -> Alcotest.fail "expected Stats_reply");
-  (match Wire.response_of_string ~version:2 v2 with
-  | Stats_reply s ->
-    Alcotest.(check (float 0.0)) "v2 keeps uptime"
-      sample_server_stats.uptime_s s.uptime_s
-  | _ -> Alcotest.fail "expected Stats_reply");
-  (* Decoding with the wrong dialect must fail loudly, not silently
-     misread: v2 bytes under a v1 decoder leave the float unconsumed. *)
-  (try
-     ignore (Wire.response_of_string ~version:1 v2);
-     Alcotest.fail "v2 bytes under v1 decoder must raise"
-   with Codec.Corrupt _ -> ());
-  (try
-     ignore (Wire.response_of_string ~version:2 v1);
-     Alcotest.fail "v1 bytes under v2 decoder must raise"
-   with Codec.Corrupt _ -> ());
-  (* v3 stats carry the dedup/shed/reap counters; a v2 encoding drops
-     them (decoded back as zero). *)
-  let v3 = Wire.response_to_string ~version:3 resp in
-  Alcotest.(check bool) "v2 stats encoding is strictly shorter than v3" true
-    (String.length v2 < String.length v3);
-  (match Wire.response_of_string ~version:3 v3 with
-  | Stats_reply s ->
-    Alcotest.(check bool) "v3 round-trips the hardening counters" true
-      (s = sample_server_stats)
-  | _ -> Alcotest.fail "expected Stats_reply");
-  (match Wire.response_of_string ~version:2 v2 with
-  | Stats_reply s ->
-    Alcotest.(check bool) "v2 decode zeroes v3 counters" true
-      (s.deduped = 0 && s.shed = 0 && s.reaped = 0)
-  | _ -> Alcotest.fail "expected Stats_reply");
-  (* The v3-only error codes downgrade for old sessions: Overloaded is
-     a capacity refusal like Throttled, Corrupt_frame a Bad_request. *)
-  let downgrade code expect =
-    let enc =
-      Wire.response_to_string ~version:2 (Error { code; message = "m" })
-    in
-    match Wire.response_of_string ~version:2 enc with
-    | Error { code = got; _ } ->
-      Alcotest.(check bool) "downgraded code" true (got = expect)
-    | _ -> Alcotest.fail "expected Error"
-  in
-  downgrade (Overloaded { retry_after_s = 0.5 }) Wire.Throttled;
-  downgrade Corrupt_frame Wire.Bad_request;
-  (* And survive verbatim on a v3 session. *)
-  match
-    Wire.response_of_string ~version:3
-      (Wire.response_to_string ~version:3
-         (Error { code = Overloaded { retry_after_s = 0.5 }; message = "m" }))
-  with
-  | Error { code = Overloaded { retry_after_s }; _ } ->
-    Alcotest.(check (float 0.0)) "retry_after survives v3" 0.5 retry_after_s
-  | _ -> Alcotest.fail "expected Overloaded error"
+  (* Trailing bytes are schema drift, not silence. *)
+  try
+    ignore
+      (Wire.response_of_string (Wire.response_to_string Wire.Healthy ^ "x"));
+    Alcotest.fail "trailing bytes must raise"
+  with Codec.Corrupt _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Checksummed framing                                                 *)
@@ -890,37 +782,61 @@ let test_errors_and_health () =
           (* The session survives every error above. *)
           Alcotest.(check bool) "still healthy" true (Client.health c)))
 
-let test_protocol_negotiation () =
+(* A raw session: one hand-built request frame per call, the first
+   reply frame back. *)
+let with_raw path f =
+  let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (ADDR_UNIX path);
+      f (fun req ->
+          Wire.write_request fd req;
+          Wire.read_response fd))
+
+let raw_hello ?key ?(version = Wire.protocol_version) () =
+  request ?key (Hello { client = "raw"; version })
+
+let test_hello_checks_version () =
   with_server `Seq (fun _server ~executor:_ ~path ->
-      (* An old v1 client: the session settles on 1 and every reply is
-         v1-layout — stats still decode, with uptime defaulted. *)
-      with_client path (fun c ->
-          ignore (Client.hello ~client:"old" ~version:1 c);
-          Alcotest.(check int) "negotiated down to 1" 1 (Client.version c);
-          let s = Client.stats c in
-          Alcotest.(check (float 0.0)) "v1 stats have no uptime" 0.0 s.uptime_s;
-          Alcotest.(check bool) "v1 session still works" true (Client.health c));
-      (* A futuristic client: the server answers with its own version. *)
-      with_client path (fun c ->
-          ignore (Client.hello ~client:"new" ~version:99 c);
-          Alcotest.(check int) "capped at the server's version"
-            Wire.protocol_version (Client.version c);
-          let s = Client.stats c in
-          Alcotest.(check bool) "v2 stats carry uptime" true (s.uptime_s >= 0.0));
-      (* Below the floor: rejected before the session starts. *)
-      with_client path (fun c ->
-          match Client.hello ~client:"ancient" ~version:0 c with
-          | _ -> Alcotest.fail "version 0 must be rejected"
-          | exception Client.Server_error (Bad_request, _) -> ()))
+      with_raw path (fun send ->
+          (* One dialect: any other version is refused by name, and the
+             refusal keeps the session open for a correct hello. *)
+          List.iter
+            (fun version ->
+              match send (raw_hello ~version ()) with
+              | Error { code = Bad_request; message } ->
+                let words =
+                  String.split_on_char ' '
+                    (String.map (function ',' -> ' ' | c -> c) message)
+                in
+                let names v = List.mem (string_of_int v) words in
+                Alcotest.(check bool) "refusal names both versions" true
+                  (names version && names Wire.protocol_version)
+              | _ -> Alcotest.failf "version %d must be refused" version)
+            [ Wire.protocol_version - 1; Wire.protocol_version + 1 ];
+          match send (raw_hello ()) with
+          | Hello_ok { version; _ } ->
+            Alcotest.(check int) "session survives" Wire.protocol_version
+              version
+          | _ -> Alcotest.fail "expected Hello_ok"))
+
+let test_keyed_hello_refused () =
+  with_server `Seq (fun _server ~executor:_ ~path ->
+      with_raw path (fun send ->
+          (match send (raw_hello ~key:1 ()) with
+          | Error { code = Bad_request; _ } -> ()
+          | _ -> Alcotest.fail "a keyed Hello must be refused");
+          Alcotest.(check bool) "session survives" true
+            (send (request Health) = Healthy)))
 
 (* ------------------------------------------------------------------ *)
 (* Hostile-network hardening                                           *)
 
-let test_keyed_ingest_exactly_once () =
+let test_keyed_ingest_applies_once () =
   with_server `Seq (fun server ~executor:_ ~path ->
       with_client path (fun c ->
           ignore (Client.hello ~client:"keyed" c);
-          Alcotest.(check int) "v3 session" 3 (Client.version c);
           let fresh =
             [
               Fact.of_list "R" [ Value.int 500; Value.int 501 ];
@@ -958,6 +874,28 @@ let test_keyed_ingest_exactly_once () =
               Alcotest.(check int) "refused ingest did not apply" 1
                 (Client.ingest ~key:44 c2 ~instance:"main" other))))
 
+let test_dedup_digest_skips_header () =
+  (* A retry re-sends the key and the op under a fresh span id (and,
+     after a reconnect, a fresh trace id): the dedup digest covers the
+     op alone, so the second frame is a replay, not a Mismatch. *)
+  with_server `Seq (fun server ~executor:_ ~path ->
+      with_raw path (fun send ->
+          ignore (send (raw_hello ()));
+          let op =
+            Wire.Ingest
+              {
+                instance = "main";
+                facts = [ Fact.of_list "R" [ Value.int 600; Value.int 601 ] ];
+              }
+          in
+          let first = send (request ~trace:1 ~span:1 ~key:9 op) in
+          let retry = send (request ~trace:2 ~span:5 ~key:9 op) in
+          Alcotest.(check bool) "first frame applies" true
+            (first = Ingested { added = 1 });
+          Alcotest.(check bool) "retry is answered by replay" true
+            (retry = first);
+          Alcotest.(check int) "one dedup hit" 1 (Server.stats server).deduped))
+
 let test_dedup_byte_cap () =
   (* Recorded dedup entries are size-capped: a keyed execute whose
      result stream encodes past [dedup_max_bytes] completes but is not
@@ -985,11 +923,11 @@ let test_dedup_byte_cap () =
           Alcotest.(check int) "replay surfaced in stats" 1
             (Server.stats server).deduped))
 
-(* A hand-rolled wire-speaking server: answers hello at the version it
-   is told to, then drops the connection on the first engine op it ever
-   sees and serves every later one — the shape of "the request may have
-   applied, the answer is gone". *)
-let test_resilient_downgrade_refuses_ingest_retry () =
+(* A hand-rolled wire-speaking server: answers hello, then drops the
+   connection on the first ingest it ever sees and serves every later
+   one — the shape of "the request may have applied, the answer is
+   gone". *)
+let test_resilient_retries_dropped_ingest () =
   incr sock_counter;
   let path =
     Filename.concat
@@ -1002,33 +940,24 @@ let test_resilient_downgrade_refuses_ingest_retry () =
   let stop = Atomic.make false in
   let ingests_seen = Atomic.make 0 in
   let dropped_once = Atomic.make false in
-  let rec strip : Wire.request -> Wire.request = function
-    | Traced { req; _ } | Keyed { key = _; req } -> strip req
-    | r -> r
-  in
   let serve_conn fd =
-    let version = ref Wire.protocol_version in
     let rec loop () =
-      match Wire.read_request fd with
-      | Hello { version = v; _ } ->
-        version := min v Wire.protocol_version;
-        Wire.write_response ~version:!version fd
-          (Hello_ok { server = "fake"; version = !version });
+      match (Wire.read_request fd).op with
+      | Hello { version; _ } ->
+        Wire.write_response fd (Hello_ok { server = "fake"; version });
         loop ()
-      | req -> (
-        match strip req with
-        | Ingest _ ->
-          Atomic.incr ingests_seen;
-          if Atomic.compare_and_set dropped_once false true then
-            (* Drop mid-op: the client cannot know whether it applied. *)
-            Unix.close fd
-          else begin
-            Wire.write_response ~version:!version fd (Ingested { added = 1 });
-            loop ()
-          end
-        | _ ->
-          Wire.write_response ~version:!version fd Healthy;
-          loop ())
+      | Ingest _ ->
+        Atomic.incr ingests_seen;
+        if Atomic.compare_and_set dropped_once false true then
+          (* Drop mid-op: the client cannot know whether it applied. *)
+          Unix.close fd
+        else begin
+          Wire.write_response fd (Ingested { added = 1 });
+          loop ()
+        end
+      | _ ->
+        Wire.write_response fd Healthy;
+        loop ()
     in
     try loop () with
     | Wire.Closed | Unix.Unix_error _ | Lamp_jobs.Codec.Corrupt _ -> (
@@ -1059,39 +988,23 @@ let test_resilient_downgrade_refuses_ingest_retry () =
       (try Unix.close srv with Unix.Unix_error _ -> ());
       try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () ->
+      (* The ingest's connection drops after the send; the wrapper
+         retries it under the same key on a fresh connection, and the
+         op completes. *)
       let fresh = [ Fact.of_list "R" [ Value.int 1; Value.int 2 ] ] in
-      let wrapper version =
+      let r =
         Resilient.create
           ~config:{ Resilient.default_config with max_attempts = 4 }
-          ~client:"downgrade" ~hello_version:version (fun () ->
+          ~client:"dropped" (fun () ->
             Client.connect_unix ~timeout_s:2.0 ~path ())
       in
-      (* On a v2 session the idempotency key cannot be carried: the
-         wrapper must NOT retry the dropped ingest — the typed loss
-         propagates and the server saw the op exactly once. *)
-      let r2 = wrapper 2 in
       Fun.protect
-        ~finally:(fun () -> Resilient.close r2)
+        ~finally:(fun () -> Resilient.close r)
         (fun () ->
-          (match Resilient.ingest r2 ~instance:"main" fresh with
-          | _ -> Alcotest.fail "pre-v3 ingest retry must be refused"
-          | exception (Client.Connection_lost _ | Client.Timed_out _) -> ());
-          Alcotest.(check int) "no at-least-once double-send" 1
-            (Atomic.get ingests_seen);
-          Alcotest.(check int) "no retry burned" 0 (Resilient.retries r2));
-      (* The same drop on a v3 session is retried (the key makes the
-         re-execution safe) and succeeds on the fresh connection. *)
-      Atomic.set dropped_once false;
-      Atomic.set ingests_seen 0;
-      let r3 = wrapper 3 in
-      Fun.protect
-        ~finally:(fun () -> Resilient.close r3)
-        (fun () ->
-          Alcotest.(check int) "v3 retry completes the op" 1
-            (Resilient.ingest r3 ~instance:"main" fresh);
+          Alcotest.(check int) "the retry completes the op" 1
+            (Resilient.ingest r ~instance:"main" fresh);
           Alcotest.(check bool) "the retry really happened" true
-            (Resilient.retries r3 >= 1
-            && Atomic.get ingests_seen >= 2)))
+            (Resilient.retries r >= 1 && Atomic.get ingests_seen >= 2)))
 
 let test_shedding_overload () =
   (* A negative watermark latches shedding after the first engine op
@@ -1304,7 +1217,7 @@ let test_chaos_proxy_resilient () =
                   let got, _ = Resilient.execute r ~instance:"main" (Adhoc qtext) in
                   check_bit_identical ("chaos " ^ name) expected got)
                 (fig1_queries @ engine_queries);
-              (* Keyed ingest through the same chaos: exactly once. *)
+              (* A keyed ingest through the same chaos applies exactly once. *)
               let fresh =
                 [
                   Fact.of_list "R" [ Value.int 900; Value.int 901 ];
@@ -1427,7 +1340,6 @@ let () =
         [
           Alcotest.test_case "round-trips" `Quick test_wire_roundtrip;
           Alcotest.test_case "hostile input" `Quick test_wire_hostile;
-          Alcotest.test_case "version dialects" `Quick test_wire_versioning;
         ] );
       ( "framing",
         [
@@ -1483,8 +1395,10 @@ let () =
           Alcotest.test_case "per-client quotas" `Quick test_quota_throttle;
           Alcotest.test_case "errors keep the session" `Quick
             test_errors_and_health;
-          Alcotest.test_case "protocol negotiation" `Quick
-            test_protocol_negotiation;
+          Alcotest.test_case "hello accepts only its own version" `Quick
+            test_hello_checks_version;
+          Alcotest.test_case "keyed hello is refused" `Quick
+            test_keyed_hello_refused;
           Alcotest.test_case "live metrics and trace scrape" `Quick
             test_live_scrape;
           Alcotest.test_case "stop drains every pool" `Quick
@@ -1495,11 +1409,13 @@ let () =
       ( "hardening",
         [
           Alcotest.test_case "keyed ingest exactly once" `Quick
-            test_keyed_ingest_exactly_once;
+            test_keyed_ingest_applies_once;
           Alcotest.test_case "dedup records are size-capped" `Quick
             test_dedup_byte_cap;
-          Alcotest.test_case "pre-v3 session refuses unsafe retry" `Quick
-            test_resilient_downgrade_refuses_ingest_retry;
+          Alcotest.test_case "dedup digest skips the header" `Quick
+            test_dedup_digest_skips_header;
+          Alcotest.test_case "dropped ingest is retried" `Quick
+            test_resilient_retries_dropped_ingest;
           Alcotest.test_case "overload sheds with retry hint" `Quick
             test_shedding_overload;
           Alcotest.test_case "frame limit is typed and fatal" `Quick
