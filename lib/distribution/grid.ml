@@ -36,23 +36,28 @@ let decode t node =
   coord
 
 (* Enumerate all nodes matching a partial coordinate: fixed positions
-   pinned, [None] positions free. *)
+   pinned, [None] positions free. The row-major index is carried down
+   the recursion, so nodes come out in ascending order. *)
 let matching t partial f =
   if Array.length partial <> Array.length t.dims then
     invalid_arg "Grid.matching: wrong coordinate dimension";
+  Array.iteri
+    (fun i c ->
+      match c with
+      | Some c when c < 0 || c >= t.dims.(i) ->
+        invalid_arg "Grid.matching: coordinate out of range"
+      | _ -> ())
+    partial;
   let n = Array.length t.dims in
-  let coord = Array.make n 0 in
-  let rec go i =
-    if i >= n then f (encode t coord)
+  let rec go i node =
+    if i >= n then f node
     else
+      let base = node * t.dims.(i) in
       match partial.(i) with
-      | Some c ->
-        coord.(i) <- c;
-        go (i + 1)
+      | Some c -> go (i + 1) (base + c)
       | None ->
         for c = 0 to t.dims.(i) - 1 do
-          coord.(i) <- c;
-          go (i + 1)
+          go (i + 1) (base + c)
         done
   in
-  go 0
+  go 0 0

@@ -22,5 +22,7 @@ val decode : t -> int -> int array
 
 val matching : t -> int option array -> (int -> unit) -> unit
 (** [matching t partial f] calls [f] on every node whose coordinate
-    agrees with the pinned positions of [partial]; [None] positions
-    range over their whole dimension. *)
+    agrees with the pinned positions of [partial], in ascending node
+    order; [None] positions range over their whole dimension.
+    @raise Invalid_argument on a wrong length or a pinned coordinate out
+    of range. *)

@@ -8,26 +8,33 @@ type kind =
   | Domain_guided
   | Custom
 
+(* [route] and [responsible] describe the same relation: one of them is
+   the given definition, the other is derived from it. *)
 type t = {
   name : string;
   kind : kind;
   nodes : Node.t list;
   universe : Value.Set.t option;
   responsible : Node.t -> Fact.t -> bool;
+  route : Fact.t -> Node.t list;
 }
 
 let make ?(kind = Custom) ?universe ~name ~nodes responsible =
   if nodes = [] then invalid_arg "Policy.make: empty network";
-  { name; kind; nodes; universe; responsible }
+  let route fact = List.filter (fun n -> responsible n fact) nodes in
+  { name; kind; nodes; universe; responsible; route }
+
+(* A policy given by its route; responsibility is membership. *)
+let of_route ~kind ?universe ~name ~nodes route =
+  let responsible node fact = List.mem node (route fact) in
+  { name; kind; nodes; universe; responsible; route }
 
 let name t = t.name
 let kind t = t.kind
 let nodes t = t.nodes
 let universe t = t.universe
 let responsible t node fact = t.responsible node fact
-
-let responsible_nodes t fact =
-  List.filter (fun n -> t.responsible n fact) t.nodes
+let responsible_nodes t fact = t.route fact
 
 let loc_inst t instance node =
   Instance.filter (fun f -> t.responsible node f) instance
@@ -128,22 +135,24 @@ let hypercube ?universe ?(seed = 0) ~name ~query ~shares () =
       if !ok then Some partial else None
     end
   in
-  let responsible node fact =
-    List.exists
+  (* The cells of every atom of the fact's relation that it
+     instantiates, ascending and distinct. *)
+  let route fact =
+    let cells = ref [] in
+    List.iter
       (fun a ->
-        a.Ast.rel = Fact.rel fact
-        &&
-        match partial_of_atom a fact with
-        | None -> false
-        | Some partial ->
-          let found = ref false in
-          Grid.matching grid partial (fun n -> if n = node then found := true);
-          !found)
-      (Ast.body query)
+        if a.Ast.rel = Fact.rel fact then
+          match partial_of_atom a fact with
+          | None -> ()
+          | Some partial ->
+            Grid.matching grid partial (fun n -> cells := n :: !cells))
+      (Ast.body query);
+    List.sort_uniq Int.compare !cells
   in
   let t =
-    make ~kind:Hypercube ?universe ~name ~nodes:(Node.range (Grid.size grid))
-      responsible
+    of_route ~kind:Hypercube ?universe ~name
+      ~nodes:(Node.range (Grid.size grid))
+      route
   in
   (t, grid)
 

@@ -42,6 +42,14 @@ val responsible : t -> Node.t -> Fact.t -> bool
     i.e. [f ∈ rfacts_P(κ)]. *)
 
 val responsible_nodes : t -> Fact.t -> Node.t list
+(** [responsible_nodes t f] is the list of nodes [κ] with
+    [responsible t κ f], in the order of [nodes t] (ascending for every
+    constructor below except {!make} and {!domain_guided}, which keep
+    the order they are given). This is each policy's one routing
+    function. A HyperCube policy computes it directly: it matches the
+    fact against each body atom of its relation once and enumerates only
+    the grid cells it reaches, so the cost is O(cells reached). Every
+    other policy tests its predicate on each of the [p] nodes. *)
 
 val loc_inst : t -> Instance.t -> Node.t -> Instance.t
 (** [loc_inst t i κ] is the local instance [I ∩ rfacts_P(κ)]. *)

@@ -26,7 +26,16 @@ let test_grid_matching () =
   Alcotest.(check int) "all free" 24 (count [| None; None; None |]);
   Alcotest.(check int) "one pinned" 12 (count [| Some 1; None; None |]);
   Alcotest.(check int) "two pinned" 4 (count [| Some 0; Some 2; None |]);
-  Alcotest.(check int) "all pinned" 1 (count [| Some 1; Some 2; Some 3 |])
+  Alcotest.(check int) "all pinned" 1 (count [| Some 1; Some 2; Some 3 |]);
+  let cells partial =
+    let c = ref [] in
+    Grid.matching g partial (fun n -> c := n :: !c);
+    List.rev !c
+  in
+  Alcotest.(check (list int))
+    "ascending, agreeing with decode"
+    (List.filter (fun n -> (Grid.decode g n).(1) = 2) (List.init 24 Fun.id))
+    (cells [| None; Some 2; None |])
 
 let test_grid_errors () =
   Alcotest.check_raises "empty dims" (Invalid_argument "")
@@ -36,7 +45,15 @@ let test_grid_errors () =
   Alcotest.check_raises "bad coord" (Invalid_argument "")
     (fun () ->
       try ignore (Grid.encode g [| 2; 0 |])
-      with Invalid_argument _ -> raise (Invalid_argument ""))
+      with Invalid_argument _ -> raise (Invalid_argument ""));
+  let calls = ref 0 in
+  List.iter
+    (fun partial ->
+      Alcotest.check_raises "pinned coord out of range"
+        (Invalid_argument "Grid.matching: coordinate out of range")
+        (fun () -> Grid.matching g partial (fun _ -> incr calls)))
+    [ [| None; Some 2 |]; [| Some (-1); None |] ];
+  Alcotest.(check int) "no cell emitted" 0 !calls
 
 (* ------------------------------------------------------------------ *)
 (* Example 4.1                                                         *)
@@ -361,6 +378,129 @@ let prop_broadcast_always_correct =
         (Distributed.eval Examples.qe_example_4_1 p i)
         (Eval.eval Examples.qe_example_4_1 i))
 
+(* ------------------------------------------------------------------ *)
+(* HyperCube routing                                                   *)
+
+(* The HyperCube predicate as first defined, node by node: [n] is
+   responsible for [f] when some body atom of [f]'s relation matches it
+   (arity, constants, and each repeated variable on its hashed
+   coordinate) and [n]'s coordinate agrees with the hashed coordinates
+   the atom pins. Independent of [Policy]'s route and of
+   [Grid.matching]. *)
+let reference_hypercube ~seed ~query ~shares grid n f =
+  let vars = Ast.body_vars query in
+  let index v =
+    let rec go i = function
+      | [] -> assert false
+      | v' :: rest -> if String.equal v v' then i else go (i + 1) rest
+    in
+    go 0 vars
+  in
+  let coord = Grid.decode grid n in
+  let args = Fact.args f in
+  List.exists
+    (fun (a : Ast.atom) ->
+      String.equal a.Ast.rel (Fact.rel f)
+      && List.length a.Ast.terms = Array.length args
+      &&
+      let pinned = Array.make (List.length vars) None in
+      List.for_all Fun.id
+        (List.mapi
+           (fun j term ->
+             match term with
+             | Ast.Const c -> Value.equal c args.(j)
+             | Ast.Var v -> (
+               let i = index v in
+               let b =
+                 Policy.hash_value ~seed:(seed + (31 * i))
+                   ~buckets:(List.assoc v shares) args.(j)
+               in
+               match pinned.(i) with
+               | Some b' -> b = b'
+               | None ->
+                 pinned.(i) <- Some b;
+                 true))
+           a.Ast.terms)
+      && Array.for_all2
+           (fun p c -> match p with Some b -> b = c | None -> true)
+           pinned coord)
+    (Ast.body query)
+
+(* A positive CQ to route for: the self-join triangle over E, or a
+   random CQ over R, S, T (each of arity 1–3, fixed per query so atoms
+   of one relation form self-joins) with repeated variables and
+   constants. The facts to route have every arity, cover the query's
+   relations and U, which no query mentions, and use a small domain so
+   that constants and repeated variables often match. *)
+let routing_case_gen =
+  QCheck.Gen.(
+    let random_query =
+      let* arities = list_repeat 3 (int_range 1 3) in
+      let rels = List.combine [ "R"; "S"; "T" ] arities in
+      let term =
+        frequency
+          [
+            (4, map (fun v -> Ast.Var v) (oneofl [ "x"; "y"; "z"; "w" ]));
+            (1, map (fun c -> Ast.Const (Value.int c)) (int_range 0 3));
+          ]
+      in
+      let atom =
+        let* rel, arity = oneofl rels in
+        let* terms = list_repeat arity term in
+        return (Ast.atom rel terms)
+      in
+      let* body = list_size (int_range 1 4) atom in
+      (* At least one variable, so the grid has a dimension. *)
+      let body = Ast.atom "R0" [ Ast.Var "x" ] :: body in
+      return (Ast.make ~head:(Ast.atom "H" [ Ast.Var "x" ]) ~body ())
+    in
+    let* query =
+      frequency [ (1, return Examples.full_triangle_e); (4, random_query) ]
+    in
+    let* shares =
+      flatten_l
+        (List.map
+           (fun v -> map (fun s -> (v, s)) (int_range 1 3))
+           (Ast.body_vars query))
+    in
+    let* seed = int_range 0 1000 in
+    let fact =
+      let* rel = oneofl [ "E"; "R"; "S"; "T"; "U"; "R0" ] in
+      let* arity = int_range 1 3 in
+      let* values = list_repeat arity (int_range 0 3) in
+      return (Fact.of_ints rel values)
+    in
+    let* facts = list_size (int_range 10 40) fact in
+    return (query, shares, seed, facts))
+
+let print_routing_case (query, shares, seed, facts) =
+  Fmt.str "%a@ shares=%a@ seed=%d@ facts=%a" Ast.pp query
+    Fmt.(Dump.list (Dump.pair string int))
+    shares seed
+    Fmt.(Dump.list Fact.pp)
+    facts
+
+let prop_hypercube_route_matches_predicate =
+  QCheck.Test.make
+    ~name:"hypercube responsible_nodes = ascending filter of the predicate"
+    ~count:300
+    (QCheck.make ~print:print_routing_case routing_case_gen)
+    (fun (query, shares, seed, facts) ->
+      let policy, grid = Policy.hypercube ~seed ~name:"hc" ~query ~shares () in
+      let nodes = Policy.nodes policy in
+      List.for_all
+        (fun f ->
+          let routed = Policy.responsible_nodes policy f in
+          routed = List.filter (fun n -> Policy.responsible policy n f) nodes
+          && routed
+             = List.filter
+                 (fun n -> reference_hypercube ~seed ~query ~shares grid n f)
+                 nodes
+          && List.for_all
+               (fun n -> Policy.responsible policy n f = List.mem n routed)
+               nodes)
+        facts)
+
 let () =
   Alcotest.run "lamp_distribution"
     [
@@ -412,5 +552,6 @@ let () =
             prop_distributed_subset;
             prop_hypercube_correct_any_seed;
             prop_broadcast_always_correct;
+            prop_hypercube_route_matches_predicate;
           ] );
     ]
